@@ -98,7 +98,7 @@ aggregate(const std::vector<EpisodeResult>& results,
     std::vector<EpisodeRecord> records;
     records.reserve(results.size());
     for (const auto& r : results)
-        records.push_back({r, energy.episodeComputeJ(r)});
+        records.push_back({r, energy.episodeComputeJ(r), {}});
     return aggregate(records);
 }
 

@@ -1,6 +1,7 @@
 #include "common/metrics.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 
 namespace create {
@@ -15,22 +16,6 @@ std::atomic<bool>& enabledFlag()
         return !(env && env[0] == '0' && env[1] == '\0');
     }()};
     return flag;
-}
-
-/// Process-global queue tallies. Relaxed atomics: these are statistics
-/// with no ordering relationship to any result data.
-struct QueueTallyAtomics
-{
-    std::atomic<std::uint64_t> requests{0};
-    std::atomic<std::uint64_t> groups{0};
-    std::atomic<std::uint64_t> windowExpiries{0};
-    std::atomic<std::uint64_t> inlineRuns{0};
-};
-
-QueueTallyAtomics& queueAtomics()
-{
-    static QueueTallyAtomics t;
-    return t;
 }
 
 } // namespace
@@ -137,50 +122,6 @@ void MetricsRegistry::recordFault(const std::string& tag,
     dst.corrected += c.corrected;
     dst.escaped += c.escaped;
     dst.reExecutions += c.reExecutions;
-}
-
-void MetricsRegistry::recordQueueRequest()
-{
-    if (!enabled())
-        return;
-    queueAtomics().requests.fetch_add(1, std::memory_order_relaxed);
-}
-
-void MetricsRegistry::recordQueueGroup(bool windowExpired)
-{
-    if (!enabled())
-        return;
-    queueAtomics().groups.fetch_add(1, std::memory_order_relaxed);
-    if (windowExpired)
-        queueAtomics().windowExpiries.fetch_add(1,
-                                                std::memory_order_relaxed);
-}
-
-void MetricsRegistry::recordQueueInline()
-{
-    if (!enabled())
-        return;
-    queueAtomics().inlineRuns.fetch_add(1, std::memory_order_relaxed);
-}
-
-QueueTallies MetricsRegistry::queueTallies()
-{
-    const QueueTallyAtomics& a = queueAtomics();
-    QueueTallies t;
-    t.requests = a.requests.load(std::memory_order_relaxed);
-    t.groups = a.groups.load(std::memory_order_relaxed);
-    t.windowExpiries = a.windowExpiries.load(std::memory_order_relaxed);
-    t.inlineRuns = a.inlineRuns.load(std::memory_order_relaxed);
-    return t;
-}
-
-void MetricsRegistry::resetQueueTallies()
-{
-    QueueTallyAtomics& a = queueAtomics();
-    a.requests.store(0, std::memory_order_relaxed);
-    a.groups.store(0, std::memory_order_relaxed);
-    a.windowExpiries.store(0, std::memory_order_relaxed);
-    a.inlineRuns.store(0, std::memory_order_relaxed);
 }
 
 } // namespace create

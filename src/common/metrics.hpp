@@ -17,8 +17,7 @@
  *     runs on exactly one thread (ComputeContexts are never shared), so
  *     the per-episode section is a plain thread_local block bracketed by
  *     beginEpisode()/endEpisode() around each runEpisode() call; the only
- *     cross-thread state is the process-global BatchedInferenceQueue
- *     tally block (atomics, bumped at group granularity, not per GEMM).
+ *     cross-thread state is the global collection switch.
  *  3. Mergeable. EpisodeMetrics += EpisodeMetrics is a lossless union
  *     (counter sums, per-layer tables merged by tag), so per-episode
  *     records collected by N ParallelEvaluator workers roll up into
@@ -40,7 +39,6 @@
  * setEnabled(false) or CREATE_METRICS=0 (checked once, at first use).
  */
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -136,15 +134,6 @@ inline constexpr std::pair<const char*, std::uint64_t LayerFaultCounters::*>
 /** Store-key prefix of the per-layer attribution fields. */
 inline constexpr const char* kLayerFieldPrefix = "L.";
 
-/** Process-global BatchedInferenceQueue tallies (all queues summed). */
-struct QueueTallies
-{
-    std::uint64_t requests = 0;       //!< GEMMs submitted through a queue
-    std::uint64_t groups = 0;         //!< fused kernel calls issued
-    std::uint64_t windowExpiries = 0; //!< groups flushed by window timeout
-    std::uint64_t inlineRuns = 0;     //!< <=1-worker inline bypasses
-};
-
 /** Thread-local observability counters (see file comment). */
 class MetricsRegistry
 {
@@ -179,14 +168,6 @@ class MetricsRegistry
 
     /** Fault attribution of one faultyLinear call (adds onto `tag`). */
     void recordFault(const std::string& tag, const LayerFaultCounters& c);
-
-    // --- process-global queue tallies -----------------------------------
-
-    static void recordQueueRequest();
-    static void recordQueueGroup(bool windowExpired);
-    static void recordQueueInline();
-    static QueueTallies queueTallies();
-    static void resetQueueTallies();
 
   private:
     std::map<std::string, LayerFaultCounters> layers_;

@@ -113,21 +113,25 @@ CoordClient::connect(const std::string& host, int port,
                      const std::string& workerId, int attempts,
                      std::string* error)
 {
-    close();
-    fd_ = io::connectRetry(host, port, attempts, error);
-    if (fd_ < 0)
-        return false;
-    std::string out;
-    binlog::FrameEncoder::encodeHeader(out);
-    JsonRecord hello = coordwire::control("hello");
-    hello.strings.emplace_back("worker", workerId);
-    hello.numbers.emplace_back("proto", 1.0);
-    enc_.encodeRecord(hello, out);
-    if (!wireSend(fd_, out.data(), out.size(), error)) {
+    // A connection that drops during the handshake is retried on a new
+    // socket (the hello is idempotent); only an unreachable coordinator
+    // -- connectRetry exhausting its budget -- gives up.
+    for (int tries = 0; tries < attempts; ++tries) {
         close();
-        return false;
+        fd_ = io::connectRetry(host, port, attempts, error);
+        if (fd_ < 0)
+            return false;
+        std::string out;
+        binlog::FrameEncoder::encodeHeader(out);
+        JsonRecord hello = coordwire::control("hello");
+        hello.strings.emplace_back("worker", workerId);
+        hello.numbers.emplace_back("proto", 1.0);
+        enc_.encodeRecord(hello, out);
+        if (wireSend(fd_, out.data(), out.size(), error))
+            return true;
     }
-    return true;
+    close();
+    return false;
 }
 
 bool
@@ -332,8 +336,14 @@ Coordinator::runLoop()
         maybeReloadStore(now);
         if (!pendingBatch_.empty() && now - lastFlush_ >= 1.0)
             flushStore(false);
-        if (opt_.once && anyDeclared_ && conns_.empty() && allComplete())
-            break;
+        if (opt_.once && anyDeclared_ && conns_.empty() && allComplete()) {
+            if (idleSince_ < 0.0)
+                idleSince_ = now;
+            else if (now - idleSince_ >= kOnceGraceSeconds)
+                break;
+        } else {
+            idleSince_ = -1.0;
+        }
     }
     flushStore(true); // final: telemetry + whatever is pending
 }

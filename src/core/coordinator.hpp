@@ -100,7 +100,8 @@ class CoordClient
     /**
      * Connect to host:port (io::connectRetry with `attempts` tries --
      * raise it to survive a coordinator restart), send the stream
-     * header and the hello record. False with `error` on give-up.
+     * header and the hello record. A connection dropped mid-handshake
+     * is retried, up to `attempts` times. False with `error` on give-up.
      */
     bool connect(const std::string& host, int port,
                  const std::string& workerId, int attempts,
@@ -144,10 +145,20 @@ class Coordinator
          * fingerprint leases renew at a quarter of it.
          */
         double leaseSeconds = 30.0;
-        bool once = false;   //!< exit once the campaign completes
+        /** Exit once the campaign completes and no worker has been
+         *  connected for kOnceGraceSeconds. */
+        bool once = false;
         bool verbose = false;
         int flushEvery = 64; //!< ingested records per store flush
     };
+
+    /**
+     * How long a complete campaign must sit with no worker connected
+     * before an Options::once coordinator exits: a worker whose
+     * connection dropped reconnects at once to fetch its peers'
+     * episodes, and must find the coordinator still there.
+     */
+    static constexpr double kOnceGraceSeconds = 2.0;
 
     explicit Coordinator(Options opt);
     Coordinator(const Coordinator&) = delete;
@@ -163,8 +174,8 @@ class Coordinator
 
     /**
      * Serve until stop() (or, with Options::once, until every declared
-     * fingerprint is complete and the last worker disconnected). Runs
-     * the poll loop on the calling thread.
+     * fingerprint is complete and no worker has been connected for
+     * kOnceGraceSeconds). Runs the poll loop on the calling thread.
      */
     void runLoop();
 
@@ -269,6 +280,7 @@ class Coordinator
     double lastFlush_ = 0.0;
     double lastRenew_ = 0.0;
     double lastReload_ = 0.0;
+    double idleSince_ = -1.0; //!< complete with no connection since (once)
     bool foreignLeaseSeen_ = false; //!< a filesystem fleet shares the store
     std::map<std::string, WorkerStats> workers_;
     long long episodesIngested_ = 0;

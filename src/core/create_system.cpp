@@ -64,7 +64,7 @@ MineSystem::runEpisode(int taskId, std::uint64_t seed,
 {
     ComputeContext plannerCtx(seed ^ 0x9A9A1ull);
     ComputeContext controllerCtx(seed ^ 0x7B7B2ull);
-    // Cross-episode GEMM fusion (null = direct dispatch; bit-identical).
+    // Optional GEMM observer (null = direct dispatch; bit-identical).
     plannerCtx.gemmSink = gemmSink();
     controllerCtx.gemmSink = gemmSink();
     cfg.applyTo(plannerCtx, /*isPlanner=*/true);
@@ -77,6 +77,7 @@ MineSystem::runEpisode(int taskId, std::uint64_t seed,
     if (cfg.voltageScaling) {
         scaler = std::make_unique<VoltageScaler>(*shared_->predictor,
                                                  cfg.policy, cfg.vsInterval);
+        scaler->setGemmSink(gemmSink());
         // VS implies voltage-dependent errors on the controller.
         if (cfg.mode != InjectionMode::None && cfg.injectController)
             controllerCtx.setVoltageMode();

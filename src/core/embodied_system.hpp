@@ -28,7 +28,6 @@
 #include <memory>
 
 #include "agent/metrics.hpp"
-#include "core/batched_queue.hpp"
 #include "core/voltage_policy.hpp"
 
 namespace create {
@@ -141,7 +140,7 @@ class EmbodiedSystem
      * construction is O(1) -- no model reload, recalibration, or
      * re-freeze per worker (see core/shared_models.hpp). prepare() is
      * the serial point that freezes everything a config will touch
-     * before episodes fan out.
+     * before episodes fan out. The copy starts without a gemm sink.
      */
     virtual std::unique_ptr<EmbodiedSystem> replicate() const = 0;
 
@@ -179,33 +178,17 @@ class EmbodiedSystem
     int evalThreads() const { return evalThreads_; }
 
     /**
-     * Whether the parallel path fuses concurrent per-episode GEMMs
-     * through a BatchedInferenceQueue (default on). Bit-identity is
-     * guaranteed either way (see core/batched_queue.hpp); the switch
-     * exists for A/B measurement and debugging. Serial evaluation never
-     * batches.
-     */
-    void setBatchedInference(bool on);
-    bool batchedInference() const { return batchedInference_; }
-
-    /**
-     * Cross-episode GEMM sink for episode ComputeContexts (null = direct
-     * kernel dispatch). Set by ParallelEvaluator on its worker replicas;
-     * backends install it on every context they build.
+     * GEMM observation sink for this system's episode ComputeContexts
+     * (null = direct kernel dispatch; bit-identical either way). Backends
+     * install it on every context they build. A sink need not be
+     * thread-safe, so ParallelEvaluator replicas never inherit it: with
+     * evalThreads() > 1 it observes nothing.
      */
     void setGemmSink(IntGemmSink* sink) { gemmSink_ = sink; }
     IntGemmSink* gemmSink() const { return gemmSink_; }
 
-    /**
-     * Fusion counters accumulated by the evaluator's queue across
-     * evaluate()/runEpisodes() calls on this system (zeros when the
-     * parallel path or batching never engaged).
-     */
-    BatchStats batchStats() const;
-
   private:
     int evalThreads_ = 1;
-    bool batchedInference_ = true;
     IntGemmSink* gemmSink_ = nullptr;
     std::unique_ptr<ParallelEvaluator> evaluator_;
 };

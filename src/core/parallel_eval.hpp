@@ -51,24 +51,19 @@ class ParallelEvaluator
      * Build `threads` bit-identical replicas of `prototype` (serially, on
      * the calling thread) and start the worker pool.
      *
+     * Replicas start without the prototype's gemm sink (see
+     * EmbodiedSystem::replicate()), so workers call the kernel directly.
+     *
      * @param threads worker count; clamped to >= 1. 0 picks the hardware
      *        concurrency.
-     * @param batched fuse concurrent per-episode GEMMs across workers
-     *        through a BatchedInferenceQueue (bit-identical either way;
-     *        see core/batched_queue.hpp). Ignored with a single worker.
      */
-    ParallelEvaluator(const EmbodiedSystem& prototype, int threads,
-                      bool batched = true);
+    ParallelEvaluator(const EmbodiedSystem& prototype, int threads);
     ~ParallelEvaluator();
 
     ParallelEvaluator(const ParallelEvaluator&) = delete;
     ParallelEvaluator& operator=(const ParallelEvaluator&) = delete;
 
     int threads() const { return static_cast<int>(replicas_.size()); }
-    bool batched() const { return queue_ != nullptr; }
-
-    /** Fusion counters since construction (zeros when not batching). */
-    BatchStats batchStats() const;
 
     /**
      * Run `reps` episodes at seeds seed0, seed0+1, ... across the pool.
@@ -104,8 +99,6 @@ class ParallelEvaluator
 
     std::vector<std::unique_ptr<EmbodiedSystem>> replicas_;
     std::vector<std::thread> workers_;
-    /** Cross-episode GEMM batcher shared by all worker replicas. */
-    std::unique_ptr<BatchedInferenceQueue> queue_;
 
     std::mutex mu_;
     std::condition_variable workCv_;  //!< signals a new job / shutdown

@@ -59,7 +59,7 @@ runDecodedPlanEpisode(int taskId, std::uint64_t seed,
     plannerCtx.domain = Domain::Planner;
     controllerCtx.domain = Domain::Controller;
     predictorCtx.domain = Domain::Predictor;
-    // Cross-episode GEMM fusion (null = direct dispatch; bit-identical).
+    // Optional GEMM observer (null = direct dispatch; bit-identical).
     plannerCtx.gemmSink = gemmSink;
     controllerCtx.gemmSink = gemmSink;
     predictorCtx.gemmSink = gemmSink;

@@ -1043,7 +1043,6 @@ SweepRunner::runElastic(std::vector<WorkUnit>& units)
         // within the unit via the episode-parallel engine.
         proto->prepare(c.cfg);
         proto->setEvalThreads(opt_.threads);
-        proto->setBatchedInference(opt_.batched);
         runUnit(*unit, *proto);
         std::lock_guard<std::mutex> io(storeIoMu_);
         activeLeases_.erase(unit->fingerprint);
@@ -1066,7 +1065,7 @@ SweepRunner::runConnected(std::vector<WorkUnit>& units)
     // Everything after hello is idempotent, so a (re)connect just
     // replays the declarations: ledger meta (the coordinator stores it
     // exactly as a local campaign would) + the episode need per unit.
-    const auto declareAll = [&]() -> bool {
+    const auto declareAll = [&](std::string* err) -> bool {
         std::vector<JsonRecord> decl;
         decl.reserve(units.size() * 2);
         for (const WorkUnit& u : units) {
@@ -1084,16 +1083,21 @@ SweepRunner::runConnected(std::vector<WorkUnit>& units)
             need.numbers.emplace_back("need", u.need);
             decl.push_back(std::move(need));
         }
-        std::string err;
-        return client.send(decl, &err);
+        return client.send(decl, err);
     };
+    // A connection can drop again while the declarations replay; they
+    // are idempotent, so reconnect and replay them once more.
     const auto reconnect = [&]() {
         std::string err;
-        if (!client.connect(host, port, workerId_, kConnectAttempts,
-                            &err) ||
-            !declareAll())
-            throw std::runtime_error(
-                "cannot reach coordinator " + opt_.connect + ": " + err);
+        for (int tries = 0; tries < kConnectAttempts; ++tries) {
+            if (!client.connect(host, port, workerId_, kConnectAttempts,
+                                &err))
+                break;
+            if (declareAll(&err))
+                return;
+        }
+        throw std::runtime_error("cannot reach coordinator " +
+                                 opt_.connect + ": " + err);
     };
     reconnect();
 
@@ -1156,7 +1160,6 @@ SweepRunner::runConnected(std::vector<WorkUnit>& units)
         if (preparedFp != fp) {
             proto->prepare(c.cfg);
             proto->setEvalThreads(opt_.threads);
-            proto->setBatchedInference(opt_.batched);
             preparedFp = fp;
         }
         CoordSink sink(*this, unit.fingerprint, *unit.led,
@@ -1301,14 +1304,6 @@ SweepRunner::progressLine()
                       static_cast<double>(flips) /
                           static_cast<double>(done));
     }
-    // GEMM-fusion health of the batched inference path (absent when the
-    // episode fan-out or batching never engaged this campaign).
-    const BatchStats bs = batchStats();
-    char batch[64] = "";
-    if (bs.requests > 0)
-        std::snprintf(batch, sizeof(batch),
-                      ", batch avg %.2f fill %.0f%%", bs.avgBatch(),
-                      100.0 * bs.fillRate());
     // Lease telemetry (elastic mode only): ledgers taken over from dead
     // or stale workers, and foreign lease expiries observed.
     char lease[48] = "";
@@ -1317,29 +1312,12 @@ SweepRunner::progressLine()
                       leasesStolen_.load(), leasesExpired_.load());
     std::fprintf(stderr,
                  "[sweep] progress: ledgers %zu/%zu, episodes %lld/%lld, "
-                 "%.1f eps/s, success %.1f%%%s%s%s, eta %s\n",
+                 "%.1f eps/s, success %.1f%%%s%s, eta %s\n",
                  unitsDone, unitsTotal, done, total, rate,
                  done > 0 ? 100.0 * static_cast<double>(succ) /
                                 static_cast<double>(done)
                           : 0.0,
-                 live, batch, lease, eta);
-}
-
-BatchStats
-SweepRunner::batchStats() const
-{
-    // Prototypes and replicas each own (at most) one ParallelEvaluator
-    // whose queue accumulates counters across runs; summing both maps
-    // covers every system a campaign can have run episodes on. The maps
-    // only change between bucket waves (never while their workers run),
-    // and the per-queue counter reads are mutex-guarded.
-    BatchStats s;
-    for (const auto& [name, proto] : prototypes_)
-        s += proto->batchStats();
-    for (const auto& [name, reps] : replicas_)
-        for (const auto& r : reps)
-            s += r->batchStats();
-    return s;
+                 live, lease, eta);
 }
 
 void
@@ -1570,7 +1548,6 @@ SweepRunner::run()
 
         if (cellWorkers == 1) {
             proto->setEvalThreads(episodeThreads);
-            proto->setBatchedInference(opt_.batched);
             for (const std::size_t k : bucketUnits)
                 runUnit(units[k], *proto);
             continue;
@@ -1579,10 +1556,8 @@ SweepRunner::run()
         auto& replicas = replicas_[platform];
         while (static_cast<int>(replicas.size()) < cellWorkers)
             replicas.push_back(proto->replicate());
-        for (auto& r : replicas) {
+        for (auto& r : replicas)
             r->setEvalThreads(episodeThreads);
-            r->setBatchedInference(opt_.batched);
-        }
 
         std::atomic<std::size_t> cursor{0};
         std::string firstError;
@@ -1666,7 +1641,6 @@ SweepRunner::episodes(std::size_t handle)
         EmbodiedSystem* proto = prototypeFor(st.cell.platform);
         proto->prepare(st.cell.cfg);
         proto->setEvalThreads(opt_.threads);
-        proto->setBatchedInference(opt_.batched);
         st.episodes = proto->runEpisodes(st.cell.taskId, st.cell.cfg,
                                          st.cell.reps, st.cell.seed0);
     }

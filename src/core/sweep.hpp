@@ -122,6 +122,26 @@ std::string sweepFingerprintLegacyV1(const SweepCell& cell);
 // backends (JSON interchange and the binary append log) and the store
 // readers share them, so they sit below the sweep layer.
 
+/**
+ * Cross-episode GEMM fusion counters. No runner fuses GEMMs any more, so
+ * they stay zero; the struct remains for readers of SweepRunner::batchStats().
+ */
+struct BatchStats
+{
+    std::uint64_t requests = 0;       //!< GEMMs submitted for fusion
+    std::uint64_t groups = 0;         //!< fused kernel calls issued
+    std::uint64_t windowExpiries = 0; //!< groups flushed by a timeout
+    std::uint64_t inlineRuns = 0;     //!< requests run without fusion
+
+    /** Mean requests fused per kernel call (0 when none ran). */
+    double avgBatch() const
+    {
+        return groups ? static_cast<double>(requests) /
+                            static_cast<double>(groups)
+                      : 0.0;
+    }
+};
+
 /** Declarative campaign runner (see file comment). */
 class SweepRunner
 {
@@ -129,14 +149,6 @@ class SweepRunner
     struct Options
     {
         int threads = 1;       //!< total worker budget (ledgers + episodes)
-        /**
-         * Fuse concurrent per-episode GEMMs across episode workers
-         * (core/batched_queue.hpp; bit-identical either way). Only
-         * engages when episodes fan out within a ledger (threads left
-         * over after cell-sharding); the --progress line reports the
-         * measured fusion rate.
-         */
-        bool batched = true;
         std::string storePath; //!< result store; empty disables it
         /**
          * On-disk format when the store is created: Json (default, the
@@ -252,11 +264,11 @@ class SweepRunner
     const std::string& workerId() const { return workerId_; }
 
     /**
-     * GEMM-fusion counters summed over every system the campaign ran
-     * episodes on (zeros when batching or episode fan-out never
-     * engaged). Feeds the --progress line.
+     * Always zero: episodes call the GEMM kernel directly (a measured
+     * cross-episode batcher lost to it in real time on 4 cores and was
+     * removed). Kept for callers that still print these counters.
      */
-    BatchStats batchStats() const;
+    BatchStats batchStats() const { return {}; }
 
     /** The "[sweep] ..." summary line run() prints. */
     std::string summary() const;

@@ -75,6 +75,9 @@ class VoltageScaler : public AgentHooks
                           ComputeContext& controllerCtx,
                           EpisodeResult& r) override;
 
+    /** Observe the predictor's GEMMs (see IntGemmSink; null = direct). */
+    void setGemmSink(IntGemmSink* sink) { predictorCtx_.gemmSink = sink; }
+
     DigitalLdo& ldo() { return ldo_; }
     const EntropyVoltagePolicy& policy() const { return policy_; }
     double lastPredictedEntropy() const { return lastEntropy_; }

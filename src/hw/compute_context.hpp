@@ -106,18 +106,17 @@ struct GemmWorkspace
 };
 
 /**
- * Sink for the integer-GEMM stage of faultyLinear.
+ * Observation hook on the integer-GEMM stage of faultyLinear.
  *
  * When a context carries a sink, the hot path hands the (already
  * quantized) GEMM to it instead of calling the dispatched kernel
- * directly. The cross-episode BatchedInferenceQueue in src/core
- * implements this to fuse concurrent per-episode requests that share a
- * frozen weight matrix into one wide kernel call. The contract is
- * create::intGemm over a zero-filled `acc`: callers must pass acc
- * cleared to zero, and the sink leaves exactly the int32 GEMM sums
- * there (it may accumulate in staging and memcpy the slice back --
- * identical to += onto zeros, bit for bit), so routing through a sink
- * can never change results.
+ * directly; tracing and profiling tools use this to time or count the
+ * GEMMs of an episode and attribute them by weight buffer. The contract
+ * is create::intGemm over a zero-filled `acc`: callers pass acc cleared
+ * to zero, and the sink leaves exactly the int32 GEMM sums there, so an
+ * installed sink can never change results. Sinks need not be
+ * thread-safe; a sink sees only the contexts of the thread it was
+ * installed for.
  */
 class IntGemmSink
 {
@@ -147,7 +146,7 @@ class ComputeContext
     Rng rng;
     EnergyMeter meter;
     GemmWorkspace ws; //!< hot-path scratch buffers (never shared across threads)
-    /** Optional cross-episode GEMM batcher (not owned; null = direct). */
+    /** Optional GEMM observer (not owned; null = direct dispatch). */
     IntGemmSink* gemmSink = nullptr;
 
     /** Disable injection (clean INT8 execution). */

@@ -19,8 +19,8 @@
  *
  *  Row blocking: quads of rows share each widened weight load (the GEMM
  *  is load-port-bound, and the weight stream is the dominant operand), so
- *  fusing rows -- exactly what the cross-episode batcher does -- raises
- *  MACs per issued uop. A single-row loop covers the remainder.
+ *  multi-row calls (token batches, conv patches) issue more MACs per
+ *  uop. A single-row loop covers the remainder.
  */
 
 #include "hw/simd_kernels.hpp"

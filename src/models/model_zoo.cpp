@@ -296,11 +296,11 @@ ModelZoo::mineBcDataset(int seedsPerTask, std::uint64_t seed)
                 while (!world.subtaskComplete() && steps < 300) {
                     const MineObs obs = world.observe();
                     const Action a = MineExpert::act(world, rng);
-                    BcSample sample;
-                    sample.subtask = static_cast<int>(st.type);
-                    sample.spatial = obs.spatial;
-                    sample.state = obs.state;
-                    sample.action = static_cast<int>(a);
+                    // Copy-construct: assigning into a fresh sample's empty
+                    // vectors trips GCC's -Wnonnull (a null, 0-byte memmove).
+                    const BcSample sample{static_cast<int>(st.type),
+                                          obs.spatial, obs.state,
+                                          static_cast<int>(a)};
                     data.push_back(sample);
                     // Craft/smelt decisions are rare but safety-critical:
                     // oversample so the cloned policy nails them.

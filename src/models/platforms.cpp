@@ -85,11 +85,10 @@ manipBcDataset(int seedsPerTask, std::uint64_t seed)
                 while (!world.subtaskComplete() && steps < 60) {
                     const ManipObs obs = world.observe();
                     const ManipAction a = ManipExpert::act(world, rng);
-                    BcSample sample;
-                    sample.subtask = static_cast<int>(st);
-                    sample.spatial = obs.spatial;
-                    sample.state = obs.state;
-                    sample.action = static_cast<int>(a);
+                    // Copy-construct: assigning into a fresh sample's empty
+                    // vectors trips GCC's -Wnonnull (a null, 0-byte memmove).
+                    const BcSample sample{static_cast<int>(st), obs.spatial,
+                                          obs.state, static_cast<int>(a)};
                     data.push_back(sample);
                     const bool critical =
                         a == ManipAction::Grasp || a == ManipAction::Release ||
@@ -161,11 +160,10 @@ navBcDataset(int seedsPerTask, std::uint64_t seed)
                        steps < NavWorld::kStepCap) {
                     const NavObs obs = world.observe();
                     const NavAction a = NavExpert::act(world);
-                    BcSample sample;
-                    sample.subtask = static_cast<int>(st);
-                    sample.spatial = obs.spatial;
-                    sample.state = obs.state;
-                    sample.action = static_cast<int>(a);
+                    // Copy-construct: assigning into a fresh sample's empty
+                    // vectors trips GCC's -Wnonnull (a null, 0-byte memmove).
+                    const BcSample sample{static_cast<int>(st), obs.spatial,
+                                          obs.state, static_cast<int>(a)};
                     data.push_back(sample);
                     // Critical-chain and altitude actions are rare in the
                     // trajectories but decide the missions; oversample them.

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <random>
@@ -439,5 +441,63 @@ TEST(Coordinator, ResumesFromExistingStoreWithoutReexecution)
         SCOPED_TRACE(i);
         expectIdentical(seed.stats(hs[i]), worker.stats(hw[i]));
     }
+    removeStoreAnyFormat(store);
+}
+
+TEST(Coordinator, OnceWaitsForAReconnectingWorker)
+{
+    // A --once coordinator must not exit the moment a complete campaign
+    // has nobody connected: a worker whose connection just dropped
+    // comes straight back to fetch its peers' episodes, and has to find
+    // the coordinator still serving.
+    const std::string store = "/tmp/create_test_coord_grace.json";
+    removeStoreAnyFormat(store);
+    const SweepCell cell = campaignCells(1)[1];
+    SweepRunner::Options so;
+    so.storePath = store;
+    SweepRunner seed(so);
+    const std::size_t hs = seed.add(cell);
+    seed.run();
+
+    Coordinator::Options co;
+    co.storePath = store;
+    co.once = true;
+    Coordinator coord(co);
+    std::string error;
+    ASSERT_TRUE(coord.start(&error)) << error;
+    std::atomic<bool> served{false};
+    std::thread serve([&] {
+        coord.runLoop();
+        served = true;
+    });
+
+    {
+        // Declare the (already complete) ledger, then drop the line.
+        CoordClient dropped;
+        ASSERT_TRUE(dropped.connect("127.0.0.1", coord.port(),
+                                    "dropped:1.1", 3, &error))
+            << error;
+        JsonRecord need = coordwire::control("need");
+        need.strings.emplace_back("fp", sweepFingerprint(cell));
+        need.numbers.emplace_back("need", cell.reps);
+        ASSERT_TRUE(dropped.send(need, &error)) << error;
+        dropped.close();
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    if (served.load()) {
+        serve.join();
+        FAIL() << "coordinator exited inside the grace period";
+    }
+
+    SweepRunner::Options wo;
+    wo.connect = "127.0.0.1:" + std::to_string(coord.port());
+    SweepRunner worker(wo);
+    const std::size_t hw = worker.add(cell);
+    worker.run();
+    serve.join();
+
+    EXPECT_TRUE(served.load());
+    EXPECT_EQ(worker.episodesExecuted(), 0);
+    expectIdentical(seed.stats(hs), worker.stats(hw));
     removeStoreAnyFormat(store);
 }

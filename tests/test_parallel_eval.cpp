@@ -1,10 +1,10 @@
 /** @file Tests for the ParallelEvaluator and the EmbodiedSystem facade:
- *  serial-vs-parallel bit-identity on both platform backends (with the
- *  cross-episode GEMM fusion queue on and off), per-episode RNG stream
- *  isolation, direct BatchedInferenceQueue unit checks, and the generic
- *  interface surface. */
+ *  serial-vs-parallel bit-identity on both platform backends, per-episode
+ *  RNG stream isolation, gemm-sink observation (never shared into worker
+ *  replicas, reaching every model context), and the generic interface
+ *  surface. */
 
-#include <thread>
+#include <map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include "core/create_system.hpp"
 #include "core/manip_system.hpp"
 #include "core/parallel_eval.hpp"
+#include "hw/faulty_gemm.hpp"
 #include "test_util.hpp"
 
 using namespace create;
@@ -32,6 +33,22 @@ manipSys()
     static ManipSystem s("openvla", "octo", /*verbose=*/false);
     return s;
 }
+
+/** Single-threaded gemm observer: counts calls per weight buffer. */
+struct RecordingSink : IntGemmSink
+{
+    void gemm(const std::int8_t* xq, std::int64_t m, std::int64_t k,
+              const std::int8_t* wq, std::int64_t n,
+              std::int32_t* acc) override
+    {
+        intGemm(xq, m, k, wq, n, acc);
+        ++calls;
+        ++seen[wq];
+    }
+
+    std::uint64_t calls = 0;
+    std::map<const std::int8_t*, std::uint64_t> seen;
+};
 
 } // namespace
 
@@ -193,132 +210,56 @@ TEST(EmbodiedSystem, ReplicasShareFrozenWeightBuffers)
     EXPECT_EQ(&m->controller(), &mineSys().controller());
 }
 
-TEST(BatchedInference, BatchedVsUnbatchedEpisodesBitIdentical)
+TEST(ParallelEval, WorkersRunWithoutSink)
 {
-    // The cross-episode GEMM fusion queue must be invisible in results:
-    // the same pool of workers with batching on and off, and the serial
-    // path, all produce byte-identical TaskStats (fusion only
-    // concatenates rows of exact int32 GEMMs; see core/batched_queue.hpp).
-    CreateConfig cfg = CreateConfig::atVoltage(0.72, 0.90);
-    cfg.anomalyDetection = true;
-    const int reps = 6;
-
-    mineSys().setEvalThreads(1);
-    const TaskStats serial = mineSys().evaluate(MineTask::Wooden, cfg, reps);
-
-    ParallelEvaluator batched(mineSys(), /*threads=*/4, /*batched=*/true);
-    ParallelEvaluator unbatched(mineSys(), /*threads=*/4, /*batched=*/false);
-    EXPECT_TRUE(batched.batched());
-    EXPECT_FALSE(unbatched.batched());
-    const TaskStats tb =
-        batched.evaluate(static_cast<int>(MineTask::Wooden), cfg, reps);
-    const TaskStats tu =
-        unbatched.evaluate(static_cast<int>(MineTask::Wooden), cfg, reps);
-    expectIdentical(serial, tb);
-    expectIdentical(serial, tu);
-
-    // Every episode GEMM went through the queue and none were dropped.
-    const BatchStats bs = batched.batchStats();
-    EXPECT_GT(bs.requests, 0u);
-    EXPECT_GE(bs.requests, bs.groups);
-    EXPECT_GE(bs.maxBatch, 1u);
-    EXPECT_EQ(4, bs.peakWorkers);
-    EXPECT_EQ(BatchStats{}.requests, unbatched.batchStats().requests);
-}
-
-TEST(BatchedInference, SystemToggleRebuildsEvaluatorAndStaysIdentical)
-{
+    // Observation sinks need not be thread-safe (the counter below is a
+    // plain integer), so a sink installed on the prototype must never be
+    // shared into worker replicas: workers call the kernel directly, and
+    // threaded results still match serial ones.
     CreateConfig cfg = CreateConfig::uniform(5e-4);
     cfg.anomalyDetection = true;
     const int reps = 5;
     MineSystem sys(/*verbose=*/false);
+    RecordingSink sink;
+    sys.setGemmSink(&sink);
 
-    const TaskStats serial = sys.evaluate(MineTask::Stone, cfg, reps);
-    sys.setEvalThreads(4);
-    ASSERT_TRUE(sys.batchedInference()); // default on
-    const TaskStats on = sys.evaluate(MineTask::Stone, cfg, reps);
-    sys.setBatchedInference(false);
-    const TaskStats off = sys.evaluate(MineTask::Stone, cfg, reps);
-    sys.setEvalThreads(1);
-    expectIdentical(serial, on);
-    expectIdentical(serial, off);
+    const TaskStats serial = sys.evaluate(MineTask::Wooden, cfg, reps);
+    EXPECT_GT(sink.calls, 0u);
+
+    sink.calls = 0;
+    ParallelEvaluator pool(sys, /*threads=*/4);
+    const TaskStats parallel =
+        pool.evaluate(static_cast<int>(MineTask::Wooden), cfg, reps);
+    EXPECT_EQ(0u, sink.calls);
+    EXPECT_EQ(&sink, sys.gemmSink());
+    expectIdentical(serial, parallel);
 }
 
-TEST(BatchedInference, QueueFusesSameKeyRequestsExactly)
+TEST(EmbodiedSystem, MineSinkSeesPredictorGemms)
 {
-    // Direct queue unit check: two registered workers submitting GEMMs
-    // against the same frozen weight pointer must fuse into one kernel
-    // call with exact per-request results; different weight pointers must
-    // never fuse.
-    const std::int64_t k = 33, n = 13; // ragged on purpose
-    Rng rng(7);
-    std::vector<std::int8_t> w(static_cast<std::size_t>(k * n));
-    for (auto& v : w)
-        v = static_cast<std::int8_t>(rng.rangeInclusive(-127, 127));
+    // JARVIS-1's VoltageScaler builds its own predictor context; the
+    // system's sink must reach it, like the manip/nav predictor contexts,
+    // and observing must not change a single bit of the episode.
+    MineSystem sys(/*verbose=*/false);
+    const CreateConfig cfg = CreateConfig::fullCreate(
+        0.72, EntropyVoltagePolicy::preset('C'));
+    sys.prepare(cfg);
+    const std::uint64_t seed = 4321;
+    const EpisodeResult plain =
+        sys.runEpisode(static_cast<int>(MineTask::Wooden), seed, cfg);
 
-    auto ref = [&](const std::vector<std::int8_t>& xq, std::int64_t m) {
-        std::vector<std::int32_t> acc(static_cast<std::size_t>(m * n), 0);
-        for (std::int64_t i = 0; i < m; ++i)
-            for (std::int64_t kk = 0; kk < k; ++kk)
-                for (std::int64_t j = 0; j < n; ++j)
-                    acc[static_cast<std::size_t>(i * n + j)] +=
-                        static_cast<std::int32_t>(
-                            xq[static_cast<std::size_t>(i * k + kk)]) *
-                        static_cast<std::int32_t>(
-                            w[static_cast<std::size_t>(kk * n + j)]);
-        return acc;
-    };
+    RecordingSink sink;
+    sys.setGemmSink(&sink);
+    const EpisodeResult observed =
+        sys.runEpisode(static_cast<int>(MineTask::Wooden), seed, cfg);
+    sys.setGemmSink(nullptr);
 
-    BatchedInferenceQueue queue(/*batchWindowUs=*/20000);
-    std::vector<std::int8_t> x1(static_cast<std::size_t>(1 * k));
-    std::vector<std::int8_t> x2(static_cast<std::size_t>(3 * k));
-    for (auto& v : x1)
-        v = static_cast<std::int8_t>(rng.rangeInclusive(-127, 127));
-    for (auto& v : x2)
-        v = static_cast<std::int8_t>(rng.rangeInclusive(-127, 127));
-    std::vector<std::int32_t> a1(static_cast<std::size_t>(1 * n), 0);
-    std::vector<std::int32_t> a2(static_cast<std::size_t>(3 * n), 0);
-
-    {
-        // Register both submitters up front (registration counts
-        // submitters, it is not bound to a thread): on a single-core
-        // host the two scopes might otherwise never overlap and every
-        // submission would take the inline path.
-        BatchedInferenceQueue::WorkerScope w1(&queue);
-        BatchedInferenceQueue::WorkerScope w2(&queue);
-        std::thread t1(
-            [&] { queue.gemm(x1.data(), 1, k, w.data(), n, a1.data()); });
-        std::thread t2(
-            [&] { queue.gemm(x2.data(), 3, k, w.data(), n, a2.data()); });
-        t1.join();
-        t2.join();
-    }
-
-    EXPECT_EQ(ref(x1, 1), a1);
-    EXPECT_EQ(ref(x2, 3), a2);
-    const BatchStats bs = queue.stats();
-    EXPECT_EQ(2u, bs.requests);
-    EXPECT_EQ(2, bs.peakWorkers);
-    // With a 20ms window both workers overwhelmingly land in one fused
-    // group ("group full" fires at 2 = registered workers); but a
-    // pathological scheduler can still time one worker out first, so
-    // only the invariants are asserted, not maxBatch == 2.
-    EXPECT_GE(bs.maxBatch, 1u);
-    EXPECT_LE(bs.groups, bs.requests);
-}
-
-TEST(BatchedInference, InlinePathWithSingleWorker)
-{
-    // With one (or zero) registered workers the queue executes inline --
-    // the serial degenerate case used by single-threaded evaluation.
-    const std::int64_t k = 8, n = 4;
-    std::vector<std::int8_t> x(static_cast<std::size_t>(k), 1);
-    std::vector<std::int8_t> w(static_cast<std::size_t>(k * n), 2);
-    std::vector<std::int32_t> acc(static_cast<std::size_t>(n), 0);
-    BatchedInferenceQueue queue;
-    queue.gemm(x.data(), 1, k, w.data(), n, acc.data());
-    for (std::int64_t j = 0; j < n; ++j)
-        EXPECT_EQ(16, acc[static_cast<std::size_t>(j)]);
-    EXPECT_EQ(1u, queue.stats().requests);
-    EXPECT_EQ(1u, queue.stats().groups);
+    // fuse2 is the predictor's last layer: one GEMM per invocation.
+    ASSERT_GT(observed.predictorInvocations, 0);
+    const auto head =
+        sink.seen.find(sys.predictor().fuse2().quantState().wq.data());
+    ASSERT_NE(head, sink.seen.end());
+    EXPECT_EQ(static_cast<std::uint64_t>(observed.predictorInvocations),
+              head->second);
+    expectIdentical(plain, observed);
 }

@@ -19,9 +19,12 @@
  * same SIMD tier (context key `create_simd`; comparing an AVX-512 run
  * against an SSE2 baseline would only ever flag improvements). A gate
  * benchmark more than --tolerance percent slower (default 25) fails the
- * gate. With --append, every benchmark's cpu time is appended to the
+ * gate. With --append, every benchmark's time is appended to the
  * trajectory as one dated entry (the repo's flat JsonRecord format), so
- * the trajectory file doubles as the perf history of the hot path.
+ * the trajectory file doubles as the perf history of the hot path. The
+ * time is cpu time, or real time for benchmarks registered with
+ * UseRealTime() (recorded under the name without google-benchmark's
+ * "/real_time" suffix).
  *
  * The trajectory lives at BENCH_trajectory.json in the repo root and is
  * regenerated/extended on dedicated hardware; CI runs the gate with its
@@ -325,7 +328,11 @@ main(int argc, char** argv)
     const std::string tier = isaTier(simd);
     const std::string date = ctx->text("date");
 
-    // cpu_time (ns) per benchmark, aggregate runs skipped.
+    // Time (ns) per benchmark, aggregate runs skipped: cpu_time, or
+    // real_time for benchmarks marked UseRealTime() (threaded ones, whose
+    // cpu_time covers only the main thread). Those carry a "/real_time"
+    // name suffix, which is dropped so the trajectory keys stay stable.
+    const std::string realSuffix = "/real_time";
     std::vector<std::pair<std::string, double>> times;
     const Jv* benches = root.find("benchmarks");
     if (benches && benches->type == Jv::Arr) {
@@ -334,11 +341,17 @@ main(int argc, char** argv)
                 continue;
             if (b.text("run_type", "iteration") != "iteration")
                 continue;
-            const Jv* cpu = b.find("cpu_time");
-            if (!cpu || cpu->type != Jv::Num)
+            std::string name = b.text("name");
+            const bool real =
+                name.size() > realSuffix.size() &&
+                name.compare(name.size() - realSuffix.size(),
+                             realSuffix.size(), realSuffix) == 0;
+            if (real)
+                name.resize(name.size() - realSuffix.size());
+            const Jv* t = b.find(real ? "real_time" : "cpu_time");
+            if (!t || t->type != Jv::Num)
                 continue;
-            times.emplace_back(b.text("name"),
-                               cpu->num * unitToNs(b.text("time_unit")));
+            times.emplace_back(name, t->num * unitToNs(b.text("time_unit")));
         }
     }
     if (times.empty()) {

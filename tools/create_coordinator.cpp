@@ -67,7 +67,8 @@ usage(std::FILE* to)
         "                        (default 30): a worker silent this\n"
         "                        long forfeits its range\n"
         "  --once                exit once every declared ledger is\n"
-        "                        complete and the fleet disconnected\n"
+        "                        complete and the fleet has been\n"
+        "                        disconnected for 2 s\n"
         "  --verbose             per-range dispatch log on stderr\n");
 }
 
