@@ -5,7 +5,7 @@
  * policies (paper: 100 candidates), reporting the Pareto frontier of
  * (success rate, effective voltage). Candidates are generated first and
  * the whole search is declared as one SweepRunner campaign, so a large
- * --candidates run shards across --threads (or --shard i/N processes)
+ * --candidates run fans out across --threads (or --lease S processes)
  * and resumes with --out at episode granularity.
  */
 

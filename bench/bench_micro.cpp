@@ -270,6 +270,7 @@ BENCHMARK(BM_StoreFlushJson)
     ->Arg(1000)
     ->Arg(10000)
     ->Arg(100000)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void
@@ -281,6 +282,7 @@ BENCHMARK(BM_StoreFlushBinlog)
     ->Arg(1000)
     ->Arg(10000)
     ->Arg(100000)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 /**
@@ -381,6 +383,7 @@ BM_CoordFrameRoundTrip(benchmark::State& state)
 }
 BENCHMARK(BM_CoordFrameRoundTrip)
     ->Iterations(512)
+    ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 
 } // namespace

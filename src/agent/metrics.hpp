@@ -91,9 +91,9 @@ struct EpisodeRecord
 };
 
 /**
- * Name -> member mapping of TaskStats' derived (double) fields; shared by
- * the sweep store's legacy v1 read path and the sweep-diff comparator so
- * a new field only needs to be added here.
+ * Name -> member mapping of TaskStats' derived (double) fields; the
+ * sweep-diff comparator walks it, so a new field only needs to be added
+ * here.
  */
 inline constexpr std::pair<const char*, double TaskStats::*>
     kTaskStatFields[] = {

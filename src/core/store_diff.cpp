@@ -84,7 +84,6 @@ loadStoreCells(const std::string& path, std::vector<StoreCell>& out,
                                                   std::string>>> ledgers;
     std::map<std::string, const JsonRecord*> metas;
     std::map<std::string, const JsonRecord*> leases;
-    std::vector<const JsonRecord*> legacyRecords;
     for (const JsonRecord& rec : records) {
         if (rec.name == kSweepStoreSchemaRecord)
             continue;
@@ -107,17 +106,13 @@ loadStoreCells(const std::string& path, std::vector<StoreCell>& out,
                 workers->push_back(rec);
             continue;
         }
-        if (rec.name.rfind("v1|", 0) == 0 &&
-            rec.number("episodes", -1.0) >= 0.0) {
-            legacyRecords.push_back(&rec);
-            continue;
-        }
         metas.emplace(rec.name, &rec);
     }
 
     // Pass 2: fold each ledger's contiguous prefix (a hole from a killed
     // mid-flush campaign ends the comparable range; the suffix beyond it
-    // was never certified by a completed fold).
+    // was never certified by a completed fold). Ledgers iterate in
+    // fingerprint order, so `out` comes out sorted.
     for (const auto& [fp, eps] : ledgers) {
         StoreCell cell;
         cell.fingerprint = fp;
@@ -161,25 +156,6 @@ loadStoreCells(const std::string& path, std::vector<StoreCell>& out,
         out.push_back(std::move(cell));
     }
 
-    // Legacy v1 cell records contribute their aggregates directly.
-    for (const JsonRecord* rec : legacyRecords) {
-        StoreCell cell;
-        cell.fingerprint = rec->name;
-        cell.platform = rec->text("platform");
-        cell.label = rec->text("label");
-        cell.legacy = true;
-        cell.episodes = static_cast<int>(rec->number("episodes"));
-        cell.stats.episodes = cell.episodes;
-        cell.stats.successes = static_cast<int>(rec->number("successes"));
-        for (const auto& [key, member] : kTaskStatFields)
-            cell.stats.*member = rec->number(key);
-        out.push_back(std::move(cell));
-    }
-
-    std::sort(out.begin(), out.end(),
-              [](const StoreCell& a, const StoreCell& b) {
-                  return a.fingerprint < b.fingerprint;
-              });
     return true;
 }
 

@@ -4,17 +4,14 @@
  * @file
  * Cell-by-fingerprint comparison of two SweepRunner result stores, so any
  * campaign becomes a regression gate: run the matrix twice (different
- * commit, thread count, shard split, machine), `sweep-diff a.json b.json`,
- * and a nonzero exit means the results drifted.
+ * commit, thread count, worker fleet, machine), `sweep-diff a.json
+ * b.json`, and a nonzero exit means the results drifted.
  *
- * Both store schemas load: a v2 episode-ledger store folds each
- * fingerprint's contiguous episode prefix through the same aggregate()
- * the engine uses (the per-episode records carry their energy, so no
- * platform model is needed), and a legacy v1 store contributes its
- * cell-level aggregates directly. Fingerprints are compared as opaque
- * keys -- v1 and v2 fingerprints of the same cell intentionally differ
- * (the v2 identity has no reps), so diffing across schema generations
- * reports the generation change instead of guessing an equivalence.
+ * Each fingerprint's contiguous episode prefix folds through the same
+ * aggregate() the engine uses (the per-episode records carry their
+ * energy, so no platform model is needed). Records that are not episode,
+ * lease, worker or schema records (ledger meta, anything opaque) never
+ * become cells. Fingerprints are compared as opaque keys.
  */
 
 #include <string>
@@ -31,10 +28,9 @@ struct StoreCell
     std::string platform; //!< from the ledger meta record, may be empty
     std::string label;    //!< from the ledger meta record, may be empty
     TaskStats stats;
-    int episodes = 0;  //!< episodes folded (v2: contiguous prefix length)
-    bool legacy = false; //!< v1 cell-level record (no episode ledger)
-    /** The folded episode prefix itself (empty for legacy cells); the
-     *  raw sample source for sweep-stats' percentile engine. */
+    int episodes = 0; //!< episodes folded (contiguous prefix length)
+    /** The folded episode prefix itself; the raw sample source for
+     *  sweep-stats' percentile engine. */
     std::vector<EpisodeRecord> records;
     /** Summed observability counters over the prefix; only comparable
      *  when every prefix episode carried them (hasMetrics). */

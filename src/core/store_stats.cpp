@@ -128,10 +128,6 @@ computeStoreStats(const std::vector<StoreCell>& cells,
     }
 
     for (const StoreCell& cell : cells) {
-        if (cell.legacy) {
-            ++res.legacyCells;
-            continue;
-        }
         if (!cell.leaseOwner.empty())
             ++owners[cell.leaseOwner].leasesHeld;
         for (const auto& [owner, n] : cell.episodeOwners) {

@@ -134,7 +134,6 @@ struct StoreStatsResult
 {
     std::vector<LedgerTail> ledgers; //!< fingerprint order
     std::vector<GroupTail> groups;   //!< (platform, task, protection) order
-    int legacyCells = 0; //!< v1 aggregates: counted, not tail-analyzed
     /** Per-worker attribution; empty unless the store carries lease-mode
      *  records. Ordered by episodes descending. */
     std::vector<ShardLoad> shards;

@@ -45,13 +45,13 @@ modeTag(InjectionMode m)
 }
 
 /**
- * The config-dependent fingerprint tail shared by the v1 and v2 formats:
- * everything that can change execution, nothing that cannot. The policy's
- * display name never matters; the whole policy (and the LDO update
- * interval) only matters under voltageScaling; BER fields only matter
- * under Uniform injection; the injection target switches and component
- * filter only matter when injection is active at all. Operating voltages
- * always matter (the energy meter prices clean compute at them too).
+ * The config-dependent fingerprint tail: everything that can change
+ * execution, nothing that cannot. The policy's display name never
+ * matters; the whole policy (and the LDO update interval) only matters
+ * under voltageScaling; BER fields only matter under Uniform injection;
+ * the injection target switches and component filter only matter when
+ * injection is active at all. Operating voltages always matter (the
+ * energy meter prices clean compute at them too).
  */
 std::string
 fingerprintTail(const CreateConfig& c)
@@ -150,14 +150,6 @@ sweepFingerprint(const SweepCell& cell)
            "|seed0=" + std::to_string(cell.seed0) + fingerprintTail(cell.cfg);
 }
 
-std::string
-sweepFingerprintLegacyV1(const SweepCell& cell)
-{
-    return "v1|" + cell.platform + "|task=" + std::to_string(cell.taskId) +
-           "|reps=" + std::to_string(cell.reps) +
-           "|seed0=" + std::to_string(cell.seed0) + fingerprintTail(cell.cfg);
-}
-
 void
 SweepRunner::Ledger::grow(int need)
 {
@@ -223,7 +215,7 @@ class SweepRunner::StoreSink : public EpisodeSink
                 JsonRecord jr = episodeToRecord(
                     sweepEpisodeKey(fingerprint_, base + index), rec);
                 // Elastic campaigns stamp each episode with the worker
-                // that ran it: per-shard attribution for sweep-stats.
+                // that ran it: per-worker attribution for sweep-stats.
                 // The field is a string, so the diff/stat folds never
                 // see it; chaos-off stores stay byte-identical.
                 if (runner_.opt_.leaseSeconds > 0.0)
@@ -351,24 +343,8 @@ SweepRunner::SweepRunner(Options opt) : opt_(std::move(opt))
         opt_.threads = 1;
     if (opt_.flushEvery < 1)
         opt_.flushEvery = 1;
-    if (opt_.shardCount < 1)
-        opt_.shardCount = 1;
-    if (opt_.shardIndex < 0 || opt_.shardIndex >= opt_.shardCount)
-        throw std::invalid_argument("SweepRunner: shard index " +
-                                    std::to_string(opt_.shardIndex) +
-                                    " outside 0.." +
-                                    std::to_string(opt_.shardCount - 1));
     if (opt_.leaseSeconds < 0.0)
         opt_.leaseSeconds = 0.0;
-    if (opt_.leaseSeconds > 0.0 && opt_.shardCount > 1) {
-        // Leases subsume the static partition: every process claims
-        // dynamically, so a shard index would only mislead.
-        std::fprintf(stderr,
-                     "[sweep] elastic lease mode: --shard partition "
-                     "ignored (workers claim ledgers dynamically)\n");
-        opt_.shardIndex = 0;
-        opt_.shardCount = 1;
-    }
     if (!opt_.connect.empty()) {
         std::string host;
         int port = 0;
@@ -377,11 +353,11 @@ SweepRunner::SweepRunner(Options opt) : opt_(std::move(opt))
                 "SweepRunner: connect expects host:port, got '" +
                 opt_.connect + "'");
         if (!opt_.storePath.empty() || opt_.resume ||
-            opt_.shardCount > 1 || opt_.leaseSeconds > 0.0)
+            opt_.leaseSeconds > 0.0)
             throw std::invalid_argument(
                 "SweepRunner: connect replaces the shared-store options "
-                "(store/resume/shard/lease) -- the coordinator owns all "
-                "store state");
+                "(store/resume/lease) -- the coordinator owns all store "
+                "state");
     }
     workerId_ = makeWorkerId();
 }
@@ -451,20 +427,15 @@ SweepRunner::prototypeFor(const std::string& platform)
 void
 SweepRunner::finalizeGroup(const std::string& fingerprint,
                            const std::vector<std::size_t>& members,
-                           std::size_t owner, bool executedNow, bool skipped)
+                           std::size_t owner, bool executedNow)
 {
     std::lock_guard<std::mutex> lock(storeMu_);
     const Ledger& led = ledgers_.find(fingerprint)->second;
     for (const std::size_t m : members) {
         CellState& st = cells_[m];
-        // A skipped cell (another shard owns the ledger) folds whatever
-        // contiguous prefix is locally available -- possibly nothing.
-        const int n =
-            skipped ? led.prefixLen(st.cell.reps) : st.cell.reps;
-        st.stats = aggregate(led.eps.data(), static_cast<std::size_t>(n));
-        if (skipped)
-            st.source = CellSource::Skipped;
-        else if (m == owner && executedNow)
+        st.stats = aggregate(led.eps.data(),
+                             static_cast<std::size_t>(st.cell.reps));
+        if (m == owner && executedNow)
             st.source = CellSource::Executed;
         else if (led.anyExecuted)
             st.source = CellSource::Sliced;
@@ -487,7 +458,7 @@ SweepRunner::runUnit(WorkUnit& unit, EmbodiedSystem& sys)
                         c.seed0 + static_cast<std::uint64_t>(start), &sink);
     }
     finalizeGroup(unit.fingerprint, unit.members, unit.owner,
-                  /*executedNow=*/true, /*skipped=*/false);
+                  /*executedNow=*/true);
     if (opt_.leaseSeconds > 0.0 && !opt_.storePath.empty()) {
         // Mark our lease done before the unit-boundary flush renews it:
         // the same write that lands the final episodes publishes the
@@ -511,8 +482,7 @@ SweepRunner::runUnit(WorkUnit& unit, EmbodiedSystem& sys)
 
 void
 SweepRunner::loadStore(
-    std::map<std::string, std::map<int, EpisodeRecord>>& eps,
-    std::map<std::string, TaskStats>& legacy)
+    std::map<std::string, std::map<int, EpisodeRecord>>& eps)
 {
     // Called from run() before any worker starts (and after any previous
     // phase's workers joined), so storeRecords_ is safe to fill; the
@@ -558,8 +528,9 @@ SweepRunner::loadStore(
                          : sal.quarantined.front().c_str());
     }
 
-    // A store without a schema record is a PR 4-era (v1) cell-level
-    // store; its records are served read-only for whole-cell resume.
+    // A store without a schema record reads as schema 1. Whatever is not
+    // an episode record in it (old cell-level aggregates included) stays
+    // opaque: kept through flushes, never seeding a ledger.
     int schema = 1;
     for (const JsonRecord& rec : records)
         if (rec.name == kSweepStoreSchemaRecord)
@@ -592,19 +563,11 @@ SweepRunner::loadStore(
                                  "[sweep] store record %s is missing "
                                  "episode fields; re-running it\n",
                                  rec.name.c_str());
-            } else if (rec.name.rfind("v1|", 0) == 0 &&
-                       rec.number("episodes", -1.0) >= 0.0) {
-                TaskStats s;
-                s.episodes = static_cast<int>(rec.number("episodes"));
-                s.successes = static_cast<int>(rec.number("successes"));
-                for (const auto& [key, member] : kTaskStatFields)
-                    s.*member = rec.number(key);
-                legacy.emplace(rec.name, s);
             }
         }
         // Keep every record through future flushes, including ones no
         // declared cell (yet) matches -- a rewrite must never drop
-        // another campaign's (or shard's) results.
+        // another campaign's (or worker's) results.
         storeRecords_.emplace(rec.name, std::move(rec));
     }
 }
@@ -660,7 +623,7 @@ SweepRunner::flushStore()
         // Always (re)stamp the current schema: merging into an older
         // (v2) store upgrades it -- old records stay valid, new episode
         // records carry the optional v3 fields. Setting it before the
-        // shard disk-merge below means a concurrent shard's older stamp
+        // lease disk-merge below means a concurrent worker's older stamp
         // never wins (emplace keeps ours). Appending backends publish it
         // once per process (merge-on-read keeps the newest copy).
         JsonRecord schema;
@@ -672,29 +635,28 @@ SweepRunner::flushStore()
         }
         storeRecords_[kSweepStoreSchemaRecord] = std::move(schema);
     }
-    // Sharded/elastic campaigns on a *rewriting* backend: other processes
+    // Elastic campaigns on a *rewriting* backend: other processes
     // rewrite the same file, so the read-merge-rename must be atomic
     // across processes too. The flock on a sidecar serializes writers (a
     // kill while holding it is harmless -- an flock dies with its
     // process) and the re-read carries their records forward; ours win
     // per key except leases, where the higher generation wins (a steal
-    // must stick). A single static process skips both: its in-memory
-    // view is already a superset of the disk. Appending backends skip
+    // must stick). A single process skips both: its in-memory view is
+    // already a superset of the disk. Appending backends skip
     // all of it unconditionally -- every writer owns its own log, so the
     // data path takes no lock and no disk re-merge (merge happens on
     // read); the store flock is left to guard only lease claims.
     int lockFd = -1;
-    if (be->rewritesWholeStore() &&
-        (opt_.shardCount > 1 || opt_.leaseSeconds > 0.0)) {
+    if (be->rewritesWholeStore() && opt_.leaseSeconds > 0.0) {
         const std::string lockPath = be->lockPath();
         lockFd = io::openRetry(lockPath.c_str(), O_CREAT | O_RDWR, 0644);
         if (lockFd < 0 || !io::flockRetry(lockFd, LOCK_EX)) {
-            // Proceeding unlocked risks two shards' read-merge-rename
+            // Proceeding unlocked risks two workers' read-merge-rename
             // interleaving (last writer drops the other's batch); there
             // is no safe fallback, so at least say it happened.
             std::fprintf(stderr,
                          "[sweep] warning: cannot lock %s; concurrent "
-                         "shard flushes may drop each other's records\n",
+                         "lease flushes may drop each other's records\n",
                          lockPath.c_str());
         }
         std::vector<JsonRecord> disk;
@@ -937,7 +899,7 @@ SweepRunner::claimNext(std::vector<WorkUnit*>& pending)
             // A peer completed this ledger; its episodes are all local
             // now, so the fold is the full bit-identical prefix.
             finalizeGroup((*it)->fingerprint, (*it)->members, (*it)->owner,
-                          /*executedNow=*/false, /*skipped=*/false);
+                          /*executedNow=*/false);
             {
                 std::lock_guard<std::mutex> lock(storeMu_);
                 ++unitsDone_;
@@ -1252,8 +1214,7 @@ SweepRunner::runConnected(std::vector<WorkUnit>& units)
             }
         }
         finalizeGroup(u.fingerprint, u.members, u.owner,
-                      /*executedNow=*/ranAny.count(u.fingerprint) > 0,
-                      /*skipped=*/false);
+                      /*executedNow=*/ranAny.count(u.fingerprint) > 0);
         if (opt_.progress)
             progressLine();
     }
@@ -1327,10 +1288,6 @@ SweepRunner::run()
         if (opt_.resume && opt_.storePath.empty())
             std::fprintf(stderr, "[sweep] --resume without a result store "
                                  "(--out) has no effect\n");
-        if (opt_.shardCount > 1 && opt_.storePath.empty())
-            std::fprintf(stderr,
-                         "[sweep] --shard without a result store (--out) "
-                         "computes results other processes cannot see\n");
         if (opt_.leaseSeconds > 0.0 && opt_.storePath.empty())
             std::fprintf(stderr,
                          "[sweep] --lease without a result store (--out) "
@@ -1344,37 +1301,10 @@ SweepRunner::run()
     // --resume (two campaigns can share one store); --resume additionally
     // seeds the ledgers from them.
     std::map<std::string, std::map<int, EpisodeRecord>> storedEps;
-    std::map<std::string, TaskStats> legacy;
     if (!opt_.storePath.empty())
-        loadStore(storedEps, legacy);
+        loadStore(storedEps);
 
     bool phaseHadWork = false;
-
-    // Legacy v1 records satisfy whole cells read-only (stats without a
-    // ledger) -- but only when the v2 ledger cannot already cover the
-    // cell (episodes beat opaque aggregates).
-    if (opt_.resume && !legacy.empty()) {
-        for (std::size_t i = 0; i < cells_.size(); ++i) {
-            CellState& st = cells_[i];
-            if (st.primary != i || st.done)
-                continue;
-            const auto it = legacy.find(sweepFingerprintLegacyV1(st.cell));
-            if (it == legacy.end())
-                continue;
-            const auto se = storedEps.find(st.fingerprint);
-            if (se != storedEps.end()) {
-                bool covered = true;
-                for (int k = 0; k < st.cell.reps && covered; ++k)
-                    covered = se->second.count(k) > 0;
-                if (covered)
-                    continue;
-            }
-            st.stats = it->second;
-            st.source = CellSource::Resumed;
-            st.done = true;
-            phaseHadWork = true;
-        }
-    }
 
     // Group the pending primary cells by ledger fingerprint (submission
     // order); the group's episode budget is its deepest cell's reps.
@@ -1440,38 +1370,11 @@ SweepRunner::run()
             storeRecords_[fp] = std::move(meta);
         }
         if (u.runs.empty()) {
-            finalizeGroup(fp, u.members, u.owner, /*executedNow=*/false,
-                          /*skipped=*/false);
+            finalizeGroup(fp, u.members, u.owner, /*executedNow=*/false);
             phaseHadWork = true;
         } else {
             units.push_back(std::move(u));
         }
-    }
-
-    // Distributed sharding: partition the pending-ledger list (ordered by
-    // fingerprint, so every process derives the same partition from the
-    // same store snapshot) and keep our share. Skipped ledgers complete
-    // with whatever local prefix they have -- the shared store's union is
-    // the campaign's real artifact.
-    if (opt_.shardCount > 1 && !units.empty()) {
-        std::sort(units.begin(), units.end(),
-                  [](const WorkUnit& a, const WorkUnit& b) {
-                      return a.fingerprint < b.fingerprint;
-                  });
-        std::vector<WorkUnit> mine;
-        for (std::size_t k = 0; k < units.size(); ++k) {
-            if (static_cast<int>(k % static_cast<std::size_t>(
-                                         opt_.shardCount)) ==
-                opt_.shardIndex) {
-                mine.push_back(std::move(units[k]));
-            } else {
-                finalizeGroup(units[k].fingerprint, units[k].members,
-                              units[k].owner, /*executedNow=*/false,
-                              /*skipped=*/true);
-                phaseHadWork = true;
-            }
-        }
-        units = std::move(mine);
     }
 
     // Progress accounting for this run().
@@ -1591,7 +1494,7 @@ SweepRunner::run()
         flushStore(); // include resumed/meta records so the store is whole
 
     // Recount from cell state (idempotent across phased runs).
-    executed_ = memoized_ = resumed_ = sliced_ = skipped_ = 0;
+    executed_ = memoized_ = resumed_ = sliced_ = 0;
     for (std::size_t i = 0; i < cells_.size(); ++i) {
         const CellState& st = cells_[i];
         if (st.primary != i) {
@@ -1604,7 +1507,6 @@ SweepRunner::run()
           case CellSource::Executed: ++executed_; break;
           case CellSource::Resumed: ++resumed_; break;
           case CellSource::Sliced: ++sliced_; break;
-          case CellSource::Skipped: ++skipped_; break;
           case CellSource::Memoized: break; // primaries are never Memoized
         }
     }
@@ -1624,26 +1526,12 @@ SweepRunner::episodes(std::size_t handle)
         throw std::logic_error("SweepRunner::episodes before run()");
     if (st.hasEpisodes)
         return st.episodes;
-    // The cell's prefix of the shared ledger, when present (executed,
-    // sliced, or resumed from a v2 store).
-    const int want = st.source == CellSource::Skipped ? st.stats.episodes
-                                                      : st.cell.reps;
-    const auto lit = ledgers_.find(st.fingerprint);
-    if (lit != ledgers_.end() && lit->second.prefixLen(want) >= want) {
-        st.episodes.reserve(static_cast<std::size_t>(want));
-        for (int i = 0; i < want; ++i)
-            st.episodes.push_back(
-                lit->second.eps[static_cast<std::size_t>(i)].result);
-    } else {
-        // Legacy v1 resume: the store only held the aggregate. Re-derive
-        // the per-episode results; execution is deterministic, so these
-        // are exactly the episodes the stored stats came from.
-        EmbodiedSystem* proto = prototypeFor(st.cell.platform);
-        proto->prepare(st.cell.cfg);
-        proto->setEvalThreads(opt_.threads);
-        st.episodes = proto->runEpisodes(st.cell.taskId, st.cell.cfg,
-                                         st.cell.reps, st.cell.seed0);
-    }
+    // Every done cell's ledger holds its whole prefix (executed, sliced,
+    // or resumed).
+    const Ledger& led = ledgers_.find(st.fingerprint)->second;
+    st.episodes.reserve(static_cast<std::size_t>(st.cell.reps));
+    for (int i = 0; i < st.cell.reps; ++i)
+        st.episodes.push_back(led.eps[static_cast<std::size_t>(i)].result);
     st.hasEpisodes = true;
     return st.episodes;
 }
@@ -1658,13 +1546,8 @@ SweepRunner::summary() const
         "eps=%lld",
         cells_.size(), executed_, memoized_, resumed_, sliced_,
         episodesExecuted_);
-    if (opt_.shardCount > 1 && n > 0 &&
+    if (opt_.leaseSeconds > 0.0 && n > 0 &&
         n < static_cast<int>(sizeof(buf)))
-        std::snprintf(buf + n, sizeof(buf) - static_cast<std::size_t>(n),
-                      " shard=%d/%d skipped=%d", opt_.shardIndex,
-                      opt_.shardCount, skipped_);
-    else if (opt_.leaseSeconds > 0.0 && n > 0 &&
-             n < static_cast<int>(sizeof(buf)))
         std::snprintf(buf + n, sizeof(buf) - static_cast<std::size_t>(n),
                       " lease=%gs stolen=%lld expired=%lld",
                       opt_.leaseSeconds, leasesStolen_.load(),

@@ -32,20 +32,12 @@
  *    in batches of Options::flushEvery (atomic tmp+rename writes that
  *    merge with the records already on disk), so a campaign killed
  *    mid-cell resumes from the surviving episode prefix instead of
- *    re-running the cell. Legacy cell-level (v1) stores are still read --
- *    served read-only for whole-cell resume, never merged into ledgers.
- *  - Distributed sharding: Options::shardIndex/shardCount partition the
- *    pending-ledger list (post-memoization, post-resume, ordered by
- *    fingerprint) so N processes sharing one --out store cover a
- *    campaign exactly once. Each flush re-merges with the store on disk,
- *    so concurrent shards union rather than clobber. The partition is
- *    computed from the pending list each process observes at startup:
- *    launch all shards against the same store snapshot (or none), not
- *    against each other's partial output.
- *  - Elastic lease mode (Options::leaseSeconds > 0): instead of a static
- *    partition, every process claims the stalest unclaimed/expired ledger
- *    under the store's cross-process flock, writing a per-fingerprint
- *    lease record ({owner host:pid, generation, renewedAt, done}) that it
+ *    re-running the cell. Records the runner does not recognize (other
+ *    campaigns', schema-less ones) are kept opaque through every flush.
+ *  - Elastic lease mode (Options::leaseSeconds > 0): N processes sharing
+ *    one store cover a campaign exactly once. Every process claims the
+ *    stalest unclaimed/expired ledger under the store's cross-process
+ *    flock, writing a per-fingerprint lease record ({owner host:pid, generation, renewedAt, done}) that it
  *    renews on every flush. A worker that dies (kill -9, OOM, chaos
  *    abort) simply stops renewing: within one lease period a survivor
  *    steals the ledger (generation bump) and gap-fills only the episode
@@ -99,23 +91,16 @@ enum class CellSource
     Memoized, //!< shared an earlier identical cell's result (same reps)
     Resumed,  //!< loaded from the resume store without executing
     Sliced,   //!< prefix of a longer ledger executed in this campaign
-    Skipped,  //!< owned by another shard; stats cover the local prefix only
 };
 
 /**
  * Canonical fingerprint of a cell's *ledger*: equal behavior => equal
  * string. `reps` is canonicalized away (episodes are seeded seed0 + i, so
  * reps is a prefix length, not part of the identity), as is anything that
- * cannot affect execution. Keys memoization, the result store, and shard
- * partitioning.
+ * cannot affect execution. Keys memoization, the result store, and lease
+ * records.
  */
 std::string sweepFingerprint(const SweepCell& cell);
-
-/**
- * The PR 4-era cell fingerprint (includes reps). Only used by the store
- * migration read path to match records in legacy cell-level stores.
- */
-std::string sweepFingerprintLegacyV1(const SweepCell& cell);
 
 // The store schema version and record-key grammar (sweepEpisodeKey,
 // sweepLeaseKey, ...) live in common/store_keys.hpp: both storage
@@ -161,12 +146,9 @@ class SweepRunner
         bool verbose = false;  //!< per-ledger progress lines on stderr
         bool progress = false; //!< one stderr status line per flush batch
         int flushEvery = 16;   //!< episodes per store flush / progress tick
-        int shardIndex = 0;    //!< this process's shard (0-based)
-        int shardCount = 1;    //!< total shards; 1 disables partitioning
         /**
-         * Elastic lease mode: > 0 replaces the static shard partition
-         * with lease-based work claiming against the shared store (see
-         * file comment). The value is the steal latency bound: a dead
+         * Elastic lease mode: > 0 turns on lease-based work claiming
+         * against the shared store (see file comment). The value is the steal latency bound: a dead
          * worker's ledger is reclaimed once its lease has not been
          * renewed for this many seconds. Renewals ride on flushes, so
          * keep leaseSeconds comfortably above the worst-case flush
@@ -184,7 +166,7 @@ class SweepRunner
          * another worker ran are fetched back over the wire at the end,
          * so stats() folds are bit-identical to a serial run. Mutually
          * exclusive with the shared-store options (storePath, resume,
-         * shard*, leaseSeconds): the coordinator owns all store state.
+         * leaseSeconds): the coordinator owns all store state.
          */
         std::string connect;
     };
@@ -221,22 +203,14 @@ class SweepRunner
 
     /**
      * Aggregated stats of a cell: the deterministic fold of its ledger
-     * prefix (run() must have completed). For a Skipped cell (sharded
-     * campaign, owned by another process) this covers only the episodes
-     * present locally -- possibly none.
+     * prefix (run() must have completed).
      */
     const TaskStats& stats(std::size_t handle) const;
 
     /** How this cell's result was obtained. */
     CellSource source(std::size_t handle) const;
 
-    /**
-     * Per-episode results of a cell: its prefix of the shared ledger.
-     * Cells resumed from a v2 store read them directly; cells resumed
-     * from a legacy v1 store re-derive them on demand by re-running
-     * (deterministic, so the results are the ones the stored stats came
-     * from).
-     */
+    /** Per-episode results of a cell: its prefix of the shared ledger. */
     const std::vector<EpisodeResult>& episodes(std::size_t handle);
 
     /**
@@ -249,7 +223,6 @@ class SweepRunner
     int memoizedCells() const { return memoized_; }
     int resumedCells() const { return resumed_; }
     int slicedCells() const { return sliced_; }
-    int skippedCells() const { return skipped_; }
 
     /** Episodes actually executed by this runner (campaign lifetime). */
     long long episodesExecuted() const { return episodesExecuted_; }
@@ -322,9 +295,8 @@ class SweepRunner
     void runUnit(WorkUnit& unit, EmbodiedSystem& sys);
     void finalizeGroup(const std::string& fingerprint,
                        const std::vector<std::size_t>& members,
-                       std::size_t owner, bool executedNow, bool skipped);
-    void loadStore(std::map<std::string, std::map<int, EpisodeRecord>>& eps,
-                   std::map<std::string, TaskStats>& legacy);
+                       std::size_t owner, bool executedNow);
+    void loadStore(std::map<std::string, std::map<int, EpisodeRecord>>& eps);
     void flushStore();
     void progressLine();
     // Elastic lease mode (all under storeIoMu_ unless noted).
@@ -353,9 +325,9 @@ class SweepRunner
     /**
      * Store records by name: everything loaded from disk plus every
      * flushed episode. Flushes write this merged view (re-merged, under
-     * a cross-process file lock, with whatever is on disk when shards
-     * share the store), so records another campaign or shard needs are
-     * never dropped by a rewrite. Owned by the flush path: only touched
+     * a cross-process file lock, with whatever is on disk when lease
+     * workers share the store), so records another campaign or worker
+     * needs are never dropped by a rewrite. Owned by the flush path: only touched
      * under storeIoMu_ (or before workers start).
      */
     std::map<std::string, JsonRecord> storeRecords_;
@@ -399,7 +371,6 @@ class SweepRunner
     int memoized_ = 0;
     int resumed_ = 0;
     int sliced_ = 0;
-    int skipped_ = 0;
     long long episodesExecuted_ = 0;
     // Progress accounting of the current run() (guarded by storeMu_).
     long long progressTotal_ = 0;

@@ -1,7 +1,7 @@
 /** @file Tests for the episode-record JSON round trip and the sweep-diff
  *  store comparator: bit-exact ledger round trips, clean verdicts on
- *  identical stores, tolerance handling, new/missing cells, episode-count
- *  mismatches, and legacy v1 aggregate comparison. All stores here are
+ *  identical stores, tolerance handling, new/missing cells and
+ *  episode-count mismatches. All stores here are
  *  synthesized records -- no models run. */
 
 #include <gtest/gtest.h>
@@ -156,7 +156,7 @@ TEST(EpisodeLedger, EpisodeKeyParsing)
 {
     EXPECT_EQ(sweepEpisodeIndex("v2|a|task=1#17"), 17);
     EXPECT_EQ(sweepEpisodeIndex("v2|a|task=1"), -1);   // meta record
-    EXPECT_EQ(sweepEpisodeIndex("v1|a|reps=3"), -1);   // legacy record
+    EXPECT_EQ(sweepEpisodeIndex("v1|a|reps=3"), -1);   // opaque record
     EXPECT_EQ(sweepEpisodeIndex("sweep-store"), -1);   // schema record
     EXPECT_EQ(sweepEpisodeIndex("v2|a#12x"), -1);      // not an index
     EXPECT_EQ(sweepEpisodeIndex("v2|a#"), -1);
@@ -219,34 +219,6 @@ TEST(StoreDiff, DetectsEpisodeCountMismatch)
     const std::string b = "/tmp/create_test_diff_b.json";
     writeStore(a, {"v2|p1"}, 6);
     writeStore(b, {"v2|p1"}, 4);
-    const StoreDiffResult res = diffStores(a, b);
-    ASSERT_EQ(res.entries.size(), 1u);
-    EXPECT_EQ(res.entries[0].kind, StoreDiffEntry::Kind::Episodes);
-    std::remove(a.c_str());
-    std::remove(b.c_str());
-}
-
-TEST(StoreDiff, ComparesLegacyV1Aggregates)
-{
-    const std::string a = "/tmp/create_test_diff_a.json";
-    const std::string b = "/tmp/create_test_diff_b.json";
-    auto writeV1 = [](const std::string& path, double successRate) {
-        JsonRecord rec;
-        rec.name = "v1|jarvis-1|task=0|reps=4|seed0=1000|tech=---";
-        rec.numbers.emplace_back("episodes", 4);
-        rec.numbers.emplace_back("successes", successRate * 4);
-        for (const auto& [key, member] : kTaskStatFields) {
-            (void)member;
-            rec.numbers.emplace_back(key, key == std::string("successRate")
-                                              ? successRate
-                                              : 1.5);
-        }
-        ASSERT_TRUE(writeJsonRecords(path, {rec}));
-    };
-    writeV1(a, 0.75);
-    writeV1(b, 0.75);
-    EXPECT_TRUE(diffStores(a, b).clean());
-    writeV1(b, 0.5); // successes change too -> episode/success mismatch
     const StoreDiffResult res = diffStores(a, b);
     ASSERT_EQ(res.entries.size(), 1u);
     EXPECT_EQ(res.entries[0].kind, StoreDiffEntry::Kind::Episodes);

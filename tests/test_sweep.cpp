@@ -1,7 +1,7 @@
-/** @file Tests for the SweepRunner campaign engine: sharded-vs-serial
+/** @file Tests for the SweepRunner campaign engine: threaded-vs-serial
  *  bit-identity across cells, cross-cell memoization, episode-ledger
  *  round trips through the JSON result store (prefix slicing, mid-cell
- *  kill/resume, legacy v1 migration, --shard partitioning), fingerprint
+ *  kill/resume, opaque schema-less records), fingerprint
  *  canonicalization, and the episode-loop regressions PR 4 fixed
  *  (vsInterval <= 0, executed-step billing). */
 
@@ -260,9 +260,6 @@ TEST(Sweep, FingerprintCanonicalization)
     SweepCell f = a;
     f.reps = 7;
     EXPECT_EQ(sweepFingerprint(a), sweepFingerprint(f));
-    // ... but the legacy (v1) cell fingerprint still includes it, so the
-    // migration read path matches PR 4-era records exactly.
-    EXPECT_NE(sweepFingerprintLegacyV1(a), sweepFingerprintLegacyV1(f));
     SweepCell g = a;
     g.seed0 = 4242;
     EXPECT_NE(sweepFingerprint(a), sweepFingerprint(g));
@@ -424,17 +421,23 @@ TEST(Sweep, MidCellKillResumeExecutesOnlyMissingEpisodes)
 
 TEST(Sweep, LegacyV1StoreMigration)
 {
-    // A PR 4-era cell-level store (aggregate stats keyed by the v1
-    // fingerprint, no episodes) still resumes whole cells read-only, and
-    // a flush carries its records forward instead of dropping them.
+    // A schema-less store of cell-level aggregates (the old "v1" record
+    // shape: stats keyed by a reps-bearing fingerprint, no episodes)
+    // seeds nothing: --resume executes the cell. Its records stay
+    // opaque, and the flush carries them forward beside the schema.
     const std::string path = "/tmp/create_test_sweep_v1.json";
     std::remove(path.c_str());
     const SweepCell cell = campaignCells(3)[0];
 
     MineSystem mine(false);
     const TaskStats direct = mine.evaluate(cell.taskId, cell.cfg, cell.reps);
+    // "v2|<platform>|task=T|seed0=S<tail>" -> "v1|...|task=T|reps=R|seed0=..."
+    std::string v1Name = sweepFingerprint(cell);
+    v1Name.replace(0, 3, "v1|");
+    v1Name.insert(v1Name.find("|seed0="),
+                  "|reps=" + std::to_string(cell.reps));
     JsonRecord v1;
-    v1.name = sweepFingerprintLegacyV1(cell);
+    v1.name = v1Name;
     v1.strings.emplace_back("platform", cell.platform);
     v1.numbers.emplace_back("task", cell.taskId);
     v1.numbers.emplace_back("reps", cell.reps);
@@ -449,30 +452,16 @@ TEST(Sweep, LegacyV1StoreMigration)
     resume.resume = true;
     SweepRunner sweep(resume);
     const std::size_t h = sweep.add(cell);
-    // A second cell at different reps cannot use the v1 aggregate (its
-    // reps is part of the v1 identity); it executes its own ledger.
-    SweepCell other = cell;
-    other.reps = 2;
-    const std::size_t h2 = sweep.add(other);
     sweep.run();
 
-    EXPECT_EQ(sweep.source(h), CellSource::Resumed);
-    EXPECT_EQ(sweep.resumedCells(), 1);
+    EXPECT_EQ(sweep.source(h), CellSource::Executed);
+    EXPECT_EQ(sweep.resumedCells(), 0);
+    EXPECT_EQ(sweep.episodesExecuted(), cell.reps);
     expectIdentical(direct, sweep.stats(h));
-    EXPECT_EQ(sweep.source(h2), CellSource::Executed);
-    EXPECT_EQ(sweep.episodesExecuted(), 2);
-    expectIdentical(mine.evaluate(cell.taskId, cell.cfg, 2),
-                    sweep.stats(h2));
+    EXPECT_EQ(sweep.episodes(h).size(),
+              static_cast<std::size_t>(cell.reps));
 
-    // A legacy cell's episodes re-derive deterministically on demand.
-    const auto& eps = sweep.episodes(h);
-    ASSERT_EQ(eps.size(), 3u);
-    expectIdentical(aggregate(mine.runEpisodes(cell.taskId, cell.cfg, 3,
-                                               cell.seed0),
-                              mine.energyModel()),
-                    sweep.stats(h));
-
-    // The flush rewrote the store: v1 record preserved, v2 schema added.
+    // The flush rewrote the store: v1 record preserved, schema added.
     std::vector<JsonRecord> records;
     ASSERT_TRUE(readJsonRecords(path, records));
     bool hasV1 = false, hasSchema = false;
@@ -482,53 +471,6 @@ TEST(Sweep, LegacyV1StoreMigration)
     }
     EXPECT_TRUE(hasV1);
     EXPECT_TRUE(hasSchema);
-    std::remove(path.c_str());
-}
-
-TEST(Sweep, ShardsPartitionPendingLedgersExactlyOnce)
-{
-    // Two shard processes sharing one store must cover the campaign
-    // exactly once between them, and their merged store must satisfy a
-    // full --resume run with zero execution.
-    const std::string path = "/tmp/create_test_sweep_shard.json";
-    std::remove(path.c_str());
-    const auto cells = campaignCells(2);
-
-    long long totalExecuted = 0;
-    for (int shard = 0; shard < 2; ++shard) {
-        SweepRunner::Options o;
-        o.storePath = path;
-        o.shardIndex = shard;
-        o.shardCount = 2;
-        SweepRunner runner(o);
-        for (const auto& c : cells)
-            runner.add(c);
-        runner.run();
-        EXPECT_EQ(runner.executedCells() + runner.skippedCells(), 3)
-            << "shard " << shard;
-        EXPECT_GT(runner.executedCells(), 0) << "shard " << shard;
-        totalExecuted += runner.episodesExecuted();
-    }
-    EXPECT_EQ(totalExecuted, 3 * 2); // every episode exactly once
-
-    SweepRunner::Options resume;
-    resume.storePath = path;
-    resume.resume = true;
-    SweepRunner merged(resume);
-    SweepRunner fresh;
-    for (const auto& c : cells) {
-        merged.add(c);
-        fresh.add(c);
-    }
-    merged.run();
-    fresh.run();
-    EXPECT_EQ(merged.executedCells(), 0);
-    EXPECT_EQ(merged.episodesExecuted(), 0);
-    EXPECT_EQ(merged.resumedCells(), 3);
-    for (std::size_t h = 0; h < cells.size(); ++h) {
-        SCOPED_TRACE(h);
-        expectIdentical(fresh.stats(h), merged.stats(h));
-    }
     std::remove(path.c_str());
 }
 
@@ -558,14 +500,6 @@ TEST(Sweep, NewerSchemaStoreIsLeftUntouched)
     EXPECT_EQ(records[0].name, kSweepStoreSchemaRecord);
     EXPECT_EQ(records[0].number("schema"), kSweepStoreSchema + 1);
     std::remove(path.c_str());
-}
-
-TEST(Sweep, RejectsBadShardOptions)
-{
-    SweepRunner::Options o;
-    o.shardIndex = 2;
-    o.shardCount = 2;
-    EXPECT_THROW(SweepRunner{o}, std::invalid_argument);
 }
 
 // --- observability: schema v3 metrics through the campaign pipeline -----

@@ -320,7 +320,7 @@ runStats(int argc, char** argv)
         std::fprintf(stderr, "sweep-stats: %s\n", error.c_str());
         return 2;
     }
-    if (stats.ledgers.empty() && stats.legacyCells == 0) {
+    if (stats.ledgers.empty()) {
         // Same guard as sweep-diff: an empty (or non-store) file must not
         // let a CI gate pass vacuously.
         std::fprintf(stderr,
@@ -332,10 +332,6 @@ runStats(int argc, char** argv)
 
     Table groups = groupTable(stats);
     groups.print();
-    if (stats.legacyCells > 0)
-        std::printf("(%d legacy v1 cell-level record%s: aggregates only, "
-                    "no episode ledger to tail-analyze)\n",
-                    stats.legacyCells, stats.legacyCells == 1 ? "" : "s");
     printAttribution(stats,
                      static_cast<int>(cli.integer("top", 10)));
     printShards(stats);
